@@ -32,7 +32,7 @@
 //! * [`k3tree`] — a k³-tree octree bitmap for dense structures
 //!   ([`K3Cursor`] streams maximal runs off the bit codes);
 //! * [`RunCursor`] — the streaming trait both cursors implement, the
-//!   contract `qbism_region`'s compressed kernels merge over.
+//!   contract `qbism_region`'s kernels merge over.
 //!
 //! # Example
 //!
@@ -71,9 +71,10 @@ pub use varint::{read_uvarint, uvarint_len, write_uvarint, MAX_VARINT_BYTES};
 /// A streaming cursor over a compressed REGION's maximal `(start, end)`
 /// run list, in increasing id order.
 ///
-/// This is the merge contract for compressed-domain kernels: intersect,
-/// union, difference and range restriction consume two (or k) cursors
-/// and emit runs without ever materializing a decoded run vector.
+/// This is the merge contract for compressed-domain execution: the
+/// REGION kernels' intersect, union, difference and k-way intersect
+/// consume two (or k) cursors and emit runs without ever materializing
+/// a decoded run vector.
 ///
 /// # Seek contract
 ///

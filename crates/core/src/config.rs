@@ -1,6 +1,6 @@
 //! System configuration.
 
-use qbism_region::RegionCodec;
+use qbism_region::{Region, RegionCodec, RegionEncodeError};
 use qbism_sfc::CurveKind;
 
 /// Configuration of one QBISM installation.
@@ -97,6 +97,19 @@ impl QbismConfig {
     pub fn with_compressed_tablespace(mut self) -> Self {
         self.compressed_tablespace = true;
         self
+    }
+
+    /// The REGION storage policy, and the one place the tablespace is
+    /// decided: the smaller queryable compressed codec under the
+    /// compressed tablespace, else the configured paper codec.  The
+    /// loader stores REGIONs this way and every spatial operator
+    /// encodes its result this way.
+    pub(crate) fn encode_region(&self, region: &Region) -> Result<Vec<u8>, RegionEncodeError> {
+        if self.compressed_tablespace {
+            qbism_region::encode_compressed(region)
+        } else {
+            self.region_codec.encode(region)
+        }
     }
 
     /// Atlas grid side.

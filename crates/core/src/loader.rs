@@ -44,7 +44,7 @@ impl QbismSystem {
     /// atlas, patients, studies (raw → registered → warped → banded).
     pub fn install(config: &QbismConfig) -> Result<QbismSystem> {
         let mut db = Database::new(config.device_capacity)?;
-        register_spatial_ops(&mut db, config.region_codec);
+        register_spatial_ops(&mut db, config);
         register_geometry_ops(&mut db, config);
         create_schema(&mut db)?;
         let geom = config.geometry();
@@ -158,15 +158,15 @@ impl QbismSystem {
     }
 }
 
-/// Persists a REGION long field per the configured tablespace: the
-/// paper's configured codec by default, the smaller queryable
-/// compressed codec (run-vskip or k³-tree) when the compressed
-/// tablespace is on.
+/// Persists a REGION long field by the storage policy
+/// ([`QbismConfig::encode_region`]); queryable compressed payloads live
+/// in the compressed tablespace.
 fn store_region(db: &mut Database, config: &QbismConfig, region: &Region) -> Result<Value> {
-    if config.compressed_tablespace {
-        Ok(db.create_long_field_compressed(&qbism_region::encode_compressed(region)?)?)
+    let bytes = config.encode_region(region)?;
+    if qbism_region::compressed::is_compressed(&bytes) {
+        Ok(db.create_long_field_compressed(&bytes)?)
     } else {
-        Ok(db.create_long_field(&config.region_codec.encode(region)?)?)
+        Ok(db.create_long_field(&bytes)?)
     }
 }
 

@@ -18,11 +18,12 @@
 //! is the point: Table 3/4's I/O column counts these reads); immediate
 //! byte arguments cost none.
 
+use crate::config::QbismConfig;
 use crate::wire::encode_data_region;
 use qbism_lfm::LongFieldId;
-use qbism_region::compressed::{compressed_cursor, is_compressed, CompressedCursor};
-use qbism_region::kernel_compressed as kc;
-use qbism_region::{Region, RegionCodec, RegionEncodeError, Run};
+use qbism_region::{
+    kernel, region_cursor, Region, RegionCodec, RegionCursor, RegionEncodeError, Run,
+};
 use qbism_starburst::{Database, DbError, UdfContext, Value};
 use qbism_volume::DataRegion;
 
@@ -42,108 +43,81 @@ fn fetch_region_arg(ctx: &mut UdfContext<'_>, v: &Value) -> Result<RegionArg, Db
     }
 }
 
-fn decode_arg(bytes: &[u8]) -> Result<Region, DbError> {
-    RegionCodec::decode(bytes).map_err(|e| DbError::Exec(format!("malformed REGION operand: {e}")))
+fn malformed(e: RegionEncodeError) -> DbError {
+    DbError::Exec(format!("malformed REGION operand: {e}"))
 }
 
 /// Decodes a region argument: a long field (read through the LFM,
 /// counting I/O) or an immediate byte string.
 fn fetch_region(ctx: &mut UdfContext<'_>, v: &Value) -> Result<Region, DbError> {
     let (bytes, _) = fetch_region_arg(ctx, v)?;
-    decode_arg(&bytes)
+    RegionCodec::decode(&bytes).map_err(malformed)
 }
 
-/// Compressed-domain fast path for a binary region operator: when both
-/// operands are queryable compressed byte strings on the same grid,
-/// stream-merge the payloads with `op` (no full decompression), credit
-/// the galloping skips to the LFM metrics, and re-encode the answer
-/// compactly so nested operators stay in the compressed domain.
-/// Returns `None` when either operand is not compressed — the caller
-/// falls back to the decoded kernels.
-fn compressed_pair(
+/// One of the [`kernel`] set operations over two operand cursors.
+type Merge =
+    fn(&mut RegionCursor<'_>, &mut RegionCursor<'_>) -> Result<Vec<Run>, RegionEncodeError>;
+
+/// A binary region operator: opens both operands as merge cursors
+/// whatever their codec (queryable payloads stream in place, Figure-4
+/// payloads decode first), merges them with `merge` and credits the
+/// cursors' galloping skips to the long fields they came from.
+fn merge_pair(
     ctx: &mut UdfContext<'_>,
-    a: &RegionArg,
-    b: &RegionArg,
-    op: impl FnOnce(
-        &mut CompressedCursor<'_>,
-        &mut CompressedCursor<'_>,
-    ) -> Result<Vec<Run>, RegionEncodeError>,
-) -> Option<Result<Value, DbError>> {
-    if !is_compressed(&a.0) || !is_compressed(&b.0) {
-        return None;
+    name: &str,
+    args: &[Value],
+    merge: Merge,
+) -> Result<Region, DbError> {
+    expect_arity(name, args, 2)?;
+    let a = fetch_region_arg(ctx, &args[0])?;
+    let b = fetch_region_arg(ctx, &args[1])?;
+    let (geom, mut ca) = region_cursor(&a.0).map_err(malformed)?;
+    let (geom_b, mut cb) = region_cursor(&b.0).map_err(malformed)?;
+    if geom != geom_b {
+        return Err(DbError::Exec(format!(
+            "{name} between incompatible grids: {geom:?} vs {geom_b:?}"
+        )));
     }
-    let opened = match (compressed_cursor(&a.0), compressed_cursor(&b.0)) {
-        (Ok(ca), Ok(cb)) => (ca, cb),
-        (Err(e), _) | (_, Err(e)) => {
-            return Some(Err(DbError::Exec(format!("malformed REGION operand: {e}"))))
+    let runs =
+        merge(&mut ca, &mut cb).map_err(|e| DbError::Exec(format!("{name} merge failed: {e}")))?;
+    for (field, cursor) in [(a.1, &ca), (b.1, &cb)] {
+        if let Some(id) = field {
+            ctx.lfm.note_decode_skips(id, cursor.skip_count());
         }
-    };
-    let ((geom_a, mut ca), (geom_b, mut cb)) = opened;
-    if geom_a != geom_b {
-        return None; // mixed grids take the decoded transcoding path
     }
-    let runs = match op(&mut ca, &mut cb) {
-        Ok(runs) => runs,
-        Err(e) => return Some(Err(DbError::Exec(format!("compressed merge failed: {e}")))),
-    };
-    if let Some(id) = a.1 {
-        ctx.lfm.note_decode_skips(id, ca.skip_count());
-    }
-    if let Some(id) = b.1 {
-        ctx.lfm.note_decode_skips(id, cb.skip_count());
-    }
-    let region = Region::from_runs(geom_a, runs);
-    Some(
-        qbism_region::encode_compressed(&region)
-            .map(Value::Bytes)
-            .map_err(|e| DbError::Exec(format!("cannot encode result REGION: {e}"))),
-    )
+    Ok(Region::from_runs(geom, runs))
 }
 
-fn region_result(region: &Region, codec: RegionCodec) -> Result<Value, DbError> {
-    let bytes = codec
-        .encode(region)
+/// Encodes an operator's result by the storage policy, so nested
+/// operators see operands in the codecs the tables hold.
+fn region_result(config: &QbismConfig, region: &Region) -> Result<Value, DbError> {
+    let bytes = config
+        .encode_region(region)
         .map_err(|e| DbError::Exec(format!("cannot encode result REGION: {e}")))?;
     Ok(Value::Bytes(bytes))
 }
 
 /// Registers all spatial operators on `db`.
 ///
-/// `codec` is the encoding used for intermediate REGION values (the
-/// configured on-disk codec, so nested operators round-trip bit-exact).
-pub fn register_spatial_ops(db: &mut Database, codec: RegionCodec) {
-    db.register_udf("intersection", move |ctx, args| {
-        expect_arity("intersection", args, 2)?;
-        let a = fetch_region_arg(ctx, &args[0])?;
-        let b = fetch_region_arg(ctx, &args[1])?;
-        if let Some(res) = compressed_pair(ctx, &a, &b, |ca, cb| kc::intersect_stream(ca, cb)) {
-            return res;
-        }
-        region_result(&decode_arg(&a.0)?.intersect(&decode_arg(&b.0)?), codec)
-    });
-    db.register_udf("runion", move |ctx, args| {
-        expect_arity("runion", args, 2)?;
-        let a = fetch_region_arg(ctx, &args[0])?;
-        let b = fetch_region_arg(ctx, &args[1])?;
-        if let Some(res) = compressed_pair(ctx, &a, &b, |ca, cb| kc::union_stream(ca, cb)) {
-            return res;
-        }
-        region_result(&decode_arg(&a.0)?.union(&decode_arg(&b.0)?), codec)
-    });
-    db.register_udf("rdifference", move |ctx, args| {
-        expect_arity("rdifference", args, 2)?;
-        let a = fetch_region_arg(ctx, &args[0])?;
-        let b = fetch_region_arg(ctx, &args[1])?;
-        if let Some(res) = compressed_pair(ctx, &a, &b, |ca, cb| kc::difference_stream(ca, cb)) {
-            return res;
-        }
-        region_result(&decode_arg(&a.0)?.difference(&decode_arg(&b.0)?), codec)
-    });
+/// REGION results are encoded by `config`'s storage policy
+/// ([`QbismConfig::encode_region`]), so nested operators round-trip
+/// bit-exact.
+pub fn register_spatial_ops(db: &mut Database, config: &QbismConfig) {
+    let merges: [(&'static str, Merge); 3] = [
+        ("intersection", |a, b| kernel::intersect(a, b)),
+        ("runion", |a, b| kernel::union(a, b)),
+        ("rdifference", |a, b| kernel::difference(a, b)),
+    ];
+    for (name, merge) in merges {
+        let cfg = config.clone();
+        db.register_udf(name, move |ctx, args| {
+            region_result(&cfg, &merge_pair(ctx, name, args, merge)?)
+        });
+    }
     db.register_udf("contains", |ctx, args| {
-        expect_arity("contains", args, 2)?;
-        let a = fetch_region(ctx, &args[0])?;
-        let b = fetch_region(ctx, &args[1])?;
-        Ok(Value::Bool(a.contains_region(&b)))
+        // a contains b exactly when b \ a is empty.
+        let outside = merge_pair(ctx, "contains", args, |a, b| kernel::difference(b, a))?;
+        Ok(Value::Bool(outside.is_empty()))
     });
     db.register_udf("regionvoxels", |ctx, args| {
         expect_arity("regionVoxels", args, 1)?;
@@ -201,7 +175,7 @@ mod tests {
     /// VOLUME long field.
     fn setup() -> (Database, Region, Region, Volume) {
         let mut db = Database::new(1 << 22).unwrap();
-        register_spatial_ops(&mut db, RegionCodec::Naive);
+        register_spatial_ops(&mut db, &QbismConfig::small_test());
         db.execute("create table t (id int, r1 long, r2 long, vol long)").unwrap();
         let a = Region::from_box(geom(), [0, 0, 0], [3, 3, 3]).unwrap();
         let b = Region::from_box(geom(), [2, 2, 2], [5, 5, 5]).unwrap();
@@ -291,7 +265,7 @@ mod tests {
     #[test]
     fn corrupt_region_operand_is_an_exec_error() {
         let mut db = Database::new(1 << 20).unwrap();
-        register_spatial_ops(&mut db, RegionCodec::Naive);
+        register_spatial_ops(&mut db, &QbismConfig::small_test());
         db.execute("create table t (r long)").unwrap();
         let junk = db.create_long_field(&[1, 2, 3]).unwrap();
         db.insert_row("t", vec![junk]).unwrap();

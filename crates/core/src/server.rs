@@ -508,58 +508,36 @@ impl MedicalServer {
             blobs.push(bytes);
             field_ids.push(field_id);
         }
-        // One study degenerates to the stored band REGION bytes; more
-        // studies intersect in a single k-way simultaneous merge over all
-        // run lists (no intermediate region per fold step — intersection
-        // is associative and commutative, so the answer is byte-identical
-        // to the old right-to-left pairwise fold) and re-encode with the
-        // configured codec.  The merge is server CPU, part of the
-        // database phase.
+        // The studies intersect in a single k-way simultaneous merge over
+        // every band REGION opened as a cursor, whatever its codec:
+        // queryable payloads gallop past non-overlapping skip blocks and
+        // subtrees (credited to the
+        // `qbism_lfm_compressed_decode_skips_total` metric), Figure-4
+        // payloads decode first.  No intermediate region is built per
+        // fold step — intersection is associative and commutative, so
+        // the answer is byte-identical to the old right-to-left pairwise
+        // fold — and the answer is encoded by the storage policy.  The
+        // merge is server CPU, part of the database phase.
         let start = std::time::Instant::now();
-        let (bytes, region) = if let [bytes] = &mut blobs[..] {
-            let bytes = std::mem::take(bytes);
-            let region = RegionCodec::decode(&bytes)?;
-            (bytes, region)
-        } else if blobs.iter().all(|b| qbism_region::compressed::is_compressed(b)) {
-            // Compressed tablespace: k-way intersect straight over the
-            // compact payloads — cursors gallop past non-overlapping
-            // skip blocks and subtrees, and only the answer's runs are
-            // ever materialized.  Galloping skips are credited to the
-            // `qbism_lfm_compressed_decode_skips_total` metric.
-            let mut opened = Vec::with_capacity(blobs.len());
-            for blob in &blobs {
-                opened.push(qbism_region::compressed_cursor(blob)?);
-            }
-            let geom = opened[0].0;
-            if opened.iter().any(|(g, _)| *g != geom) {
-                return Err(QbismError::Wire("band REGIONs on mismatched grids".into()));
-            }
-            let mut refs: Vec<&mut dyn qbism_coding::RunCursor> =
-                opened.iter_mut().map(|(_, c)| c as &mut dyn qbism_coding::RunCursor).collect();
-            let runs = qbism_region::kernel_compressed::intersect_k_stream(&mut refs)?;
-            for (field_id, (_, cursor)) in field_ids.iter().zip(&opened) {
-                if let Some(id) = field_id {
-                    self.db.lfm_ref().note_decode_skips(*id, cursor.skip_count());
-                }
-            }
-            let acc = Region::from_runs(geom, runs);
-            let bytes = qbism_region::encode_compressed(&acc)?;
-            (bytes, acc)
-        } else {
-            let mut regions = Vec::with_capacity(blobs.len());
-            for blob in &blobs {
-                regions.push(RegionCodec::decode(blob)?);
-            }
-            let refs: Vec<&Region> = regions.iter().collect();
-            let acc = match qbism_region::intersect_all(&refs) {
-                Some(r) => r,
-                None => {
-                    return Err(QbismError::NotFound("band query needs at least one study".into()))
-                }
-            };
-            let bytes = self.config.region_codec.encode(&acc)?;
-            (bytes, acc)
+        let mut opened = Vec::with_capacity(blobs.len());
+        for blob in &blobs {
+            opened.push(qbism_region::region_cursor(blob)?);
+        }
+        let Some(geom) = opened.first().map(|(g, _)| *g) else {
+            return Err(QbismError::NotFound("band query needs at least one study".into()));
         };
+        if opened.iter().any(|(g, _)| *g != geom) {
+            return Err(QbismError::Wire("band REGIONs on mismatched grids".into()));
+        }
+        let mut cursors: Vec<_> = opened.iter_mut().map(|(_, c)| c).collect();
+        let runs = qbism_region::kernel::intersect_many(&mut cursors)?;
+        for (field_id, (_, cursor)) in field_ids.iter().zip(&opened) {
+            if let Some(id) = field_id {
+                self.db.lfm_ref().note_decode_skips(*id, cursor.skip_count());
+            }
+        }
+        let region = Region::from_runs(geom, runs);
+        let bytes = self.config.encode_region(&region)?;
         let fold_seconds = start.elapsed().as_secs_f64();
         cost.native_db_seconds += fold_seconds;
         cost.sim_db_seconds += fold_seconds;

@@ -2,10 +2,11 @@
 //!
 //! Two pins, end to end:
 //!
-//! 1. **Phantom-derived equivalence** — the compressed-domain kernels
-//!    produce exactly the uncompressed kernels' results on *real* atlas
-//!    anatomy (the phantom's rasterized structures), not just random
-//!    id soup, at the paper's 64³ and 128³ scales.
+//! 1. **Phantom-derived equivalence** — the cursor kernels over
+//!    compressed operands produce exactly an independent `BTreeSet`
+//!    oracle's results on *real* atlas anatomy (the phantom's
+//!    rasterized structures), not just random id soup, at the paper's
+//!    64³ and 128³ scales.
 //! 2. **Mode equivalence** — a system installed with
 //!    `compressed_tablespace` answers every query class identically to
 //!    the default installation while persisting strictly fewer REGION
@@ -15,10 +16,13 @@
 
 use qbism::{QbismConfig, QbismSystem};
 use qbism_phantom::build_atlas;
-use qbism_region::kernel_compressed::{difference_stream, intersect_stream, union_stream};
-use qbism_region::{compressed_cursor, encode_compressed, kernel, GridGeometry, Region};
+use qbism_region::kernel::{difference, intersect, union};
+use qbism_region::{compressed_cursor, encode_compressed, GridGeometry, Region, Run};
 use qbism_sfc::CurveKind;
 use qbism_starburst::Value;
+
+#[path = "../../region/tests/reference/mod.rs"]
+mod reference;
 
 fn open(bytes: &[u8]) -> qbism_region::CompressedCursor<'_> {
     compressed_cursor(bytes).expect("open cursor").1
@@ -34,12 +38,12 @@ fn compressed_kernels_match_on_phantom_anatomy() {
         for b in &regions {
             let ab = encode_compressed(a).expect("encode a");
             let bb = encode_compressed(b).expect("encode b");
-            let got = intersect_stream(&mut open(&ab), &mut open(&bb)).expect("intersect");
-            assert_eq!(got, kernel::intersect_runs(a.runs(), b.runs()));
-            let got = union_stream(&mut open(&ab), &mut open(&bb)).expect("union");
-            assert_eq!(got, kernel::union_runs(a.runs(), b.runs()));
-            let got = difference_stream(&mut open(&ab), &mut open(&bb)).expect("difference");
-            assert_eq!(got, kernel::difference_runs(a.runs(), b.runs()));
+            let got = intersect(&mut open(&ab), &mut open(&bb)).expect("intersect");
+            assert_eq!(got, reference::intersect(a.runs(), b.runs()));
+            let got = union(&mut open(&ab), &mut open(&bb)).expect("union");
+            assert_eq!(got, reference::union(a.runs(), b.runs()));
+            let got = difference(&mut open(&ab), &mut open(&bb)).expect("difference");
+            assert_eq!(got, reference::difference(a.runs(), b.runs()));
         }
     }
 }
@@ -58,8 +62,8 @@ fn compressed_kernels_match_on_phantom_anatomy_at_paper_scale() {
         ab.len() * 2 < qbism_region::RegionCodec::Naive.encode(a).expect("naive").len(),
         "queryable codec should at least halve the paper's naive encoding"
     );
-    let got = intersect_stream(&mut open(&ab), &mut open(&bb)).expect("intersect");
-    assert_eq!(got, kernel::intersect_runs(a.runs(), b.runs()));
+    let got = intersect(&mut open(&ab), &mut open(&bb)).expect("intersect");
+    assert_eq!(got, reference::intersect(a.runs(), b.runs()));
 }
 
 /// Collects every stored REGION long field (atlas structures + bands)

@@ -1,65 +1,113 @@
-//! Queryable compressed REGION byte strings.
+//! Opening encoded REGION byte strings as merge cursors.
 //!
 //! The Figure-4 codecs ([`RegionCodec::Naive`], `Elias`, the octant
 //! packings) are storage studies: compact, but a kernel must fully
 //! decode them before operating.  The two *queryable* codecs added for
 //! compressed-domain execution — [`RegionCodec::RunVskip`] (delta+varint
 //! run list with skip blocks) and [`RegionCodec::K3Tree`] (octree
-//! bitmap) — open as a [`CompressedCursor`] instead: a streaming,
-//! seekable run source the kernels in [`crate::kernel_compressed`]
-//! merge without ever materializing the run vector.
+//! bitmap) — stream in place instead.  [`region_cursor`] opens either
+//! kind as one [`RegionCursor`], so every operator runs the same
+//! [`crate::kernel`] merge whatever the storage codec.
 //!
-//! [`encode_compressed`] is the storage policy: it encodes both ways
-//! and keeps the smaller byte string, so sparse boundary-dominated
-//! structures land in the skip-block run list and dense blobs in the
-//! k³-tree.
+//! [`encode_compressed`] is the compressed storage policy: it encodes
+//! both ways and keeps the smaller byte string, so sparse
+//! boundary-dominated structures land in the skip-block run list and
+//! dense blobs in the k³-tree.
 
 use crate::encode::{split_header, RegionCodec, RegionEncodeError};
 use crate::geometry::GridGeometry;
+use crate::kernel::{self, RunsCursor};
 use crate::region::Region;
 use crate::run::Run;
 use qbism_coding::{K3Cursor, RunCursor, RunListCursor};
 
-/// A streaming cursor over either queryable compressed payload.
+/// A streaming, seekable cursor over an encoded REGION.
 #[derive(Debug, Clone)]
-pub enum CompressedCursor<'a> {
+pub enum RegionCursor<'a> {
+    /// A Figure-4 payload, decoded and validated up front.
+    Decoded(RunsCursor<Vec<Run>>),
     /// Delta+varint run list with a skip-block directory.
     RunList(RunListCursor<'a>),
     /// k³-tree octree bitmap.
     K3(K3Cursor<'a>),
 }
 
-impl RunCursor for CompressedCursor<'_> {
+/// The name the benchmark and the compressed suites import.
+pub type CompressedCursor<'a> = RegionCursor<'a>;
+
+impl RunCursor for RegionCursor<'_> {
+    #[inline]
     fn peek(&self) -> Option<(u64, u64)> {
         match self {
-            CompressedCursor::RunList(c) => c.peek(),
-            CompressedCursor::K3(c) => c.peek(),
+            RegionCursor::Decoded(c) => kernel::RunSource::peek(c).map(|r| (r.start, r.end)),
+            RegionCursor::RunList(c) => c.peek(),
+            RegionCursor::K3(c) => c.peek(),
         }
     }
 
+    #[inline]
     fn advance(&mut self) -> qbism_coding::Result<()> {
         match self {
-            CompressedCursor::RunList(c) => c.advance(),
-            CompressedCursor::K3(c) => c.advance(),
+            RegionCursor::Decoded(c) => {
+                let Ok(()) = kernel::RunSource::advance(c);
+                Ok(())
+            }
+            RegionCursor::RunList(c) => c.advance(),
+            RegionCursor::K3(c) => c.advance(),
         }
     }
 
+    #[inline]
     fn seek(&mut self, target: u64) -> qbism_coding::Result<()> {
         match self {
-            CompressedCursor::RunList(c) => c.seek(target),
-            CompressedCursor::K3(c) => c.seek(target),
+            RegionCursor::Decoded(c) => {
+                let Ok(()) = kernel::RunSource::seek(c, target);
+                Ok(())
+            }
+            RegionCursor::RunList(c) => c.seek(target),
+            RegionCursor::K3(c) => c.seek(target),
         }
     }
 
+    /// A decoded payload has no decoding left to skip, so it reports 0.
     fn skips(&self) -> u64 {
         match self {
-            CompressedCursor::RunList(c) => c.skips(),
-            CompressedCursor::K3(c) => c.skips(),
+            RegionCursor::Decoded(_) => 0,
+            RegionCursor::RunList(c) => c.skips(),
+            RegionCursor::K3(c) => c.skips(),
         }
     }
 }
 
-impl CompressedCursor<'_> {
+/// A decoded payload offers its run list, so merges over decoded
+/// operands only run over plain slices.
+impl kernel::RunSource for RegionCursor<'_> {
+    type Error = RegionEncodeError;
+
+    #[inline]
+    fn peek(&self) -> Option<Run> {
+        RunCursor::peek(self).map(|(start, end)| Run { start, end })
+    }
+
+    #[inline]
+    fn advance(&mut self) -> Result<(), RegionEncodeError> {
+        Ok(RunCursor::advance(self)?)
+    }
+
+    #[inline]
+    fn seek(&mut self, target: u64) -> Result<(), RegionEncodeError> {
+        Ok(RunCursor::seek(self, target)?)
+    }
+
+    fn remaining(&self) -> Option<&[Run]> {
+        match self {
+            RegionCursor::Decoded(c) => c.remaining(),
+            RegionCursor::RunList(_) | RegionCursor::K3(_) => None,
+        }
+    }
+}
+
+impl RegionCursor<'_> {
     /// Skip-jumps taken so far, callable without importing
     /// [`RunCursor`] (downstream crates may not depend on
     /// `qbism_coding` directly).
@@ -73,12 +121,25 @@ impl CompressedCursor<'_> {
     /// `no-full-decode-in-kernel` bans this call there).
     pub fn to_runs_vec(mut self) -> Result<Vec<Run>, RegionEncodeError> {
         let mut out = Vec::new();
-        while let Some((start, end)) = self.peek() {
+        while let Some((start, end)) = RunCursor::peek(&self) {
             out.push(Run::new(start, end));
-            self.advance()?;
+            RunCursor::advance(&mut self)?;
         }
         Ok(out)
     }
+}
+
+/// Opens any encoded REGION as a geometry plus merge cursor: queryable
+/// payloads stream in place, Figure-4 payloads decode through the
+/// validated [`RegionCodec::decode`].
+pub fn region_cursor(bytes: &[u8]) -> Result<(GridGeometry, RegionCursor<'_>), RegionEncodeError> {
+    let (codec, geom, _count, body) = split_header(bytes)?;
+    let cursor = match codec {
+        RegionCodec::RunVskip => RegionCursor::RunList(RunListCursor::new(body)?),
+        RegionCodec::K3Tree => RegionCursor::K3(K3Cursor::new(body)?),
+        _ => RegionCursor::Decoded(RunsCursor::new(RegionCodec::decode(bytes)?.into_runs())),
+    };
+    Ok((geom, cursor))
 }
 
 /// Opens a compressed REGION byte string as a geometry plus streaming
@@ -88,20 +149,12 @@ impl CompressedCursor<'_> {
 /// one of the non-queryable Figure-4 codecs.
 pub fn compressed_cursor(
     bytes: &[u8],
-) -> Result<(GridGeometry, CompressedCursor<'_>), RegionEncodeError> {
-    let (codec, geom, _count, body) = split_header(bytes)?;
-    let cursor = match codec {
-        RegionCodec::RunVskip => CompressedCursor::RunList(RunListCursor::new(body)?),
-        RegionCodec::K3Tree => CompressedCursor::K3(K3Cursor::new(body)?),
-        other => {
-            return Err(RegionEncodeError::BadTag(match other {
-                RegionCodec::Naive => 0,
-                RegionCodec::Elias => 1,
-                _ => 2,
-            }))
-        }
-    };
-    Ok((geom, cursor))
+) -> Result<(GridGeometry, RegionCursor<'_>), RegionEncodeError> {
+    let (codec, ..) = split_header(bytes)?;
+    if !codec.is_compressed() {
+        return Err(RegionEncodeError::BadTag(codec.tag()));
+    }
+    region_cursor(bytes)
 }
 
 /// True if `bytes` is an encoded REGION in one of the queryable

@@ -80,7 +80,7 @@ impl RegionCodec {
         }
     }
 
-    fn tag(&self) -> u8 {
+    pub(crate) fn tag(&self) -> u8 {
         match self {
             RegionCodec::Naive => 0,
             RegionCodec::Elias => 1,

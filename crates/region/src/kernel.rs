@@ -1,131 +1,273 @@
-//! Run-native kernels: streaming set algebra, batched curve transcoding
-//! and box decomposition directly over sorted run lists.
+//! Run-native kernels: the REGION set algebra, batched curve
+//! transcoding and box decomposition directly over sorted run lists.
 //!
 //! The paper's thesis is that runs on a space-filling curve are the right
 //! *algebraic* representation, so the hot operators should never leave it.
-//! Every function here consumes and produces canonical run lists (sorted,
+//! Every merge here consumes and produces canonical run lists (sorted,
 //! disjoint, non-adjacent — see [`crate::Region`] invariants) without
-//! materializing per-voxel id vectors or intermediate regions:
+//! materializing per-voxel id vectors or intermediate regions.
 //!
-//! * [`intersect_runs`] / [`union_runs`] / [`difference_runs`] — linear
-//!   two-pointer merge scans, the run analogue of Orenstein & Manola's
-//!   spatial join;
-//! * [`intersect_k`] — a k-way simultaneous merge with gallop
-//!   (exponential-probe) skipping over disjoint spans, used by
-//!   [`crate::intersect_all`];
-//! * [`count_intersect_runs`] — overlap counting without building the
-//!   intersection;
+//! The set algebra is one family of merges over [`RunSource`] cursors,
+//! monomorphized per cursor type.  A decoded `&[Run]` slice is a
+//! zero-cost [`RunsCursor`] whose seek gallops; a queryable compressed
+//! payload ([`qbism_coding::RunCursor`]) is a cursor that decodes one
+//! run at a time and gallops over skip blocks or pruned subtrees, so the
+//! same merge touches only the codewords near overlaps — the Brisaboa et
+//! al. move (compact *queryable* representations) applied to h-runs.
+//!
+//! * [`intersect`] / [`union`] / [`difference`] — two-cursor merge
+//!   scans, the run analogue of Orenstein & Manola's spatial join;
+//! * [`intersect_many`] — a k-way simultaneous merge that gallops every
+//!   cursor over disjoint spans, used by [`crate::intersect_all`] and the
+//!   multi-study fold;
 //! * [`transcode_runs`] — re-linearization onto another curve that walks
 //!   maximal octree-aligned id blocks (one curve conversion per *block*
 //!   instead of per voxel) whenever both curves are hierarchical;
 //! * [`box_runs3`] — axis-aligned box rasterization by recursive octant
 //!   descent (hierarchical curves) or whole scanline rows, visiting only
 //!   O(surface) cells instead of every voxel in the box.
+//!
+//! Seek-clipping note: after `seek(t)` a compressed cursor may report its
+//! current run with the start clipped upward (never past `t`).  Every
+//! merge below only consumes ids `>= t` after seeking `t`, so clipped and
+//! true runs are indistinguishable here.
 
+use crate::encode::RegionEncodeError;
 use crate::run::{normalize, Run};
+use qbism_coding::RunCursor;
 use qbism_sfc::{Curve, SpaceFillingCurve};
+use std::convert::Infallible;
 
-/// Intersection of two canonical run lists (streaming two-pointer merge).
-pub fn intersect_runs(a: &[Run], b: &[Run]) -> Vec<Run> {
-    let mut out: Vec<Run> = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        if let Some(r) = a[i].intersect(&b[j]) {
-            out.push(r);
-        }
-        // Advance whichever run ends first.
-        if a[i].end < b[j].end {
-            i += 1;
-        } else {
-            j += 1;
-        }
+/// A sorted stream of canonical runs — the input contract of every
+/// merge kernel.
+///
+/// `seek(target)` moves to the first run whose end is `>= target` and
+/// never moves backward.  A slice cursor cannot fail
+/// (`Error = Infallible`, so its merges are infallible too); a
+/// compressed cursor reports malformed payloads as errors.  A merge
+/// consumes its sources: their positions afterwards are unspecified.
+pub trait RunSource {
+    /// Why stepping the stream failed.
+    type Error;
+    /// Current run, or `None` once the stream is exhausted.
+    fn peek(&self) -> Option<Run>;
+    /// Steps to the next run.
+    fn advance(&mut self) -> Result<(), Self::Error>;
+    /// Gallops to the first run with `end >= target`.
+    fn seek(&mut self, target: u64) -> Result<(), Self::Error>;
+    /// The unread runs, when the source is a decoded run list.  When
+    /// every operand has one, a merge runs over plain slice cursors
+    /// instead of stepping each source through its own dispatch.
+    fn remaining(&self) -> Option<&[Run]> {
+        None
     }
-    out
 }
 
-/// Number of ids common to two canonical run lists, counted in place —
-/// the same merge scan as [`intersect_runs`] with no output allocation.
-pub fn count_intersect_runs(a: &[Run], b: &[Run]) -> u64 {
-    let mut count = 0u64;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let lo = a[i].start.max(b[j].start);
-        let hi = a[i].end.min(b[j].end);
+/// Any queryable compressed cursor, as the benchmark's
+/// `intersect_k_stream(&mut [&mut dyn RunCursor])` passes them; a
+/// malformed payload surfaces as a [`RegionEncodeError`].
+impl RunSource for dyn RunCursor + '_ {
+    type Error = RegionEncodeError;
+
+    fn peek(&self) -> Option<Run> {
+        RunCursor::peek(self).map(|(start, end)| Run { start, end })
+    }
+
+    fn advance(&mut self) -> Result<(), RegionEncodeError> {
+        Ok(RunCursor::advance(self)?)
+    }
+
+    fn seek(&mut self, target: u64) -> Result<(), RegionEncodeError> {
+        Ok(RunCursor::seek(self, target)?)
+    }
+}
+
+/// Cursor over a decoded canonical run list — a borrowed `&[Run]` or an
+/// owned `Vec<Run>`.
+#[derive(Debug, Clone)]
+pub struct RunsCursor<R> {
+    runs: R,
+    pos: usize,
+}
+
+impl<R: AsRef<[Run]>> RunsCursor<R> {
+    /// Wraps a canonical (sorted, disjoint, non-adjacent) run list.
+    pub fn new(runs: R) -> Self {
+        RunsCursor { runs, pos: 0 }
+    }
+}
+
+impl<R: AsRef<[Run]>> RunSource for RunsCursor<R> {
+    type Error = Infallible;
+
+    fn peek(&self) -> Option<Run> {
+        self.runs.as_ref().get(self.pos).copied()
+    }
+
+    fn advance(&mut self) -> Result<(), Infallible> {
+        if self.pos < self.runs.as_ref().len() {
+            self.pos += 1;
+        }
+        Ok(())
+    }
+
+    fn seek(&mut self, target: u64) -> Result<(), Infallible> {
+        self.pos = gallop_to(self.runs.as_ref(), self.pos, target);
+        Ok(())
+    }
+
+    fn remaining(&self) -> Option<&[Run]> {
+        self.runs.as_ref().get(self.pos..)
+    }
+}
+
+/// Appends `[start, end]`, coalescing with the previous run when they
+/// touch or overlap, so outputs stay canonical.
+fn push(out: &mut Vec<Run>, start: u64, end: u64) {
+    if let Some(last) = out.last_mut() {
+        if start <= last.end.saturating_add(1) {
+            last.end = last.end.max(end);
+            return;
+        }
+    }
+    out.push(Run { start, end });
+}
+
+/// Intersection of two run streams.  A cursor whose run ends before the
+/// other's begins gallops to it with `seek`, so disjoint stretches are
+/// skipped rather than scanned.
+pub fn intersect<A, B>(a: &mut A, b: &mut B) -> Result<Vec<Run>, A::Error>
+where
+    A: RunSource + ?Sized,
+    B: RunSource<Error = A::Error> + ?Sized,
+{
+    if let (Some(x), Some(y)) = (a.remaining(), b.remaining()) {
+        let Ok(out) = intersect_scan(&mut RunsCursor::new(x), &mut RunsCursor::new(y));
+        return Ok(out);
+    }
+    intersect_scan(a, b)
+}
+
+fn intersect_scan<A, B>(a: &mut A, b: &mut B) -> Result<Vec<Run>, A::Error>
+where
+    A: RunSource + ?Sized,
+    B: RunSource<Error = A::Error> + ?Sized,
+{
+    let mut out = Vec::new();
+    while let (Some(ra), Some(rb)) = (a.peek(), b.peek()) {
+        let lo = ra.start.max(rb.start);
+        let hi = ra.end.min(rb.end);
         if lo <= hi {
-            count += hi - lo + 1;
+            push(&mut out, lo, hi);
         }
-        if a[i].end < b[j].end {
-            i += 1;
+        // Step whichever run ends first, galloping if it ends before the
+        // other begins.
+        if ra.end <= rb.end {
+            if ra.end < rb.start {
+                a.seek(rb.start)?;
+            } else {
+                a.advance()?;
+            }
+        } else if rb.end < ra.start {
+            b.seek(ra.start)?;
         } else {
-            j += 1;
+            b.advance()?;
         }
     }
-    count
+    Ok(out)
 }
 
-/// Union of two canonical run lists: a single streaming merge that fuses
-/// overlap and adjacency on the fly — no concatenate-and-sort pass.
-pub fn union_runs(a: &[Run], b: &[Run]) -> Vec<Run> {
-    let mut out: Vec<Run> = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        let take_a = match (a.get(i), b.get(j)) {
-            (Some(ra), Some(rb)) => ra.start <= rb.start,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        let r = if take_a {
-            i += 1;
-            a[i - 1]
-        } else {
-            j += 1;
-            b[j - 1]
-        };
-        match out.last_mut() {
-            // Merge overlap and adjacency (end + 1 == start).
-            Some(last) if r.start <= last.end.saturating_add(1) => {
-                last.end = last.end.max(r.end);
-            }
-            _ => out.push(r),
-        }
+/// Union of two run streams: a single merge that fuses overlap and
+/// adjacency on the fly — no concatenate-and-sort pass, no seeks (every
+/// run of both operands contributes).
+pub fn union<A, B>(a: &mut A, b: &mut B) -> Result<Vec<Run>, A::Error>
+where
+    A: RunSource + ?Sized,
+    B: RunSource<Error = A::Error> + ?Sized,
+{
+    if let (Some(x), Some(y)) = (a.remaining(), b.remaining()) {
+        let Ok(out) = union_scan(&mut RunsCursor::new(x), &mut RunsCursor::new(y));
+        return Ok(out);
     }
-    out
+    union_scan(a, b)
 }
 
-/// Difference `a \ b` over canonical run lists (streaming cursor scan).
-pub fn difference_runs(a: &[Run], b: &[Run]) -> Vec<Run> {
-    let mut out: Vec<Run> = Vec::new();
-    let mut j = 0usize;
-    for &ra in a {
-        let mut cursor = ra.start;
-        // Skip b-runs entirely before this run.
-        while j < b.len() && b[j].end < ra.start {
-            j += 1;
-        }
-        let mut k = j;
-        while k < b.len() && b[k].start <= ra.end {
-            let rb = b[k];
-            if rb.start > cursor {
-                out.push(Run::new(cursor, rb.start - 1));
+fn union_scan<A, B>(a: &mut A, b: &mut B) -> Result<Vec<Run>, A::Error>
+where
+    A: RunSource + ?Sized,
+    B: RunSource<Error = A::Error> + ?Sized,
+{
+    let mut out = Vec::new();
+    loop {
+        let r = match (a.peek(), b.peek()) {
+            (Some(ra), Some(rb)) if ra.start <= rb.start => {
+                a.advance()?;
+                ra
             }
-            cursor = cursor.max(rb.end.saturating_add(1));
+            (Some(ra), None) => {
+                a.advance()?;
+                ra
+            }
+            (_, Some(rb)) => {
+                b.advance()?;
+                rb
+            }
+            (None, None) => break,
+        };
+        push(&mut out, r.start, r.end);
+    }
+    Ok(out)
+}
+
+/// Difference `a \ b` of two run streams; the subtrahend gallops to each
+/// minuend run, so a sparse `a` touches only the matching parts of `b`.
+pub fn difference<A, B>(a: &mut A, b: &mut B) -> Result<Vec<Run>, A::Error>
+where
+    A: RunSource + ?Sized,
+    B: RunSource<Error = A::Error> + ?Sized,
+{
+    if let (Some(x), Some(y)) = (a.remaining(), b.remaining()) {
+        let Ok(out) = difference_scan(&mut RunsCursor::new(x), &mut RunsCursor::new(y));
+        return Ok(out);
+    }
+    difference_scan(a, b)
+}
+
+fn difference_scan<A, B>(a: &mut A, b: &mut B) -> Result<Vec<Run>, A::Error>
+where
+    A: RunSource + ?Sized,
+    B: RunSource<Error = A::Error> + ?Sized,
+{
+    let mut out = Vec::new();
+    'minuend: while let Some(ra) = a.peek() {
+        if b.peek().is_some_and(|rb| rb.end < ra.start) {
+            b.seek(ra.start)?;
+        }
+        let mut cur = ra.start;
+        while let Some(rb) = b.peek().filter(|rb| rb.start <= ra.end) {
+            if rb.start > cur {
+                push(&mut out, cur, rb.start - 1);
+            }
             if rb.end >= ra.end {
-                break;
+                // This b-run may also cover the next a-run: leave it
+                // current.
+                a.advance()?;
+                continue 'minuend;
             }
-            k += 1;
+            cur = cur.max(rb.end + 1);
+            b.advance()?;
         }
-        if cursor <= ra.end {
-            out.push(Run::new(cursor, ra.end));
-        }
+        push(&mut out, cur, ra.end);
+        a.advance()?;
     }
-    out
+    Ok(out)
 }
 
 /// First index at or after `from` whose run ends at or beyond `target`.
 ///
 /// Run ends are strictly increasing in a canonical list, so the answer is
 /// found by an exponential probe followed by a binary search — the
-/// "gallop" that lets [`intersect_k`] skip long disjoint spans in
+/// "gallop" that lets a [`RunsCursor`] skip long disjoint spans in
 /// O(log skip) instead of touching every run.
 fn gallop_to(list: &[Run], from: usize, target: u64) -> usize {
     let mut base = from;
@@ -147,68 +289,74 @@ fn gallop_to(list: &[Run], from: usize, target: u64) -> usize {
     lo
 }
 
-/// K-way intersection of canonical run lists in one simultaneous merge.
+/// K-way intersection of run streams in one simultaneous merge.
 ///
-/// Scans each input at most once (galloping over disjoint spans), builds
-/// no intermediate list per fold step, and returns a canonical run list.
-/// An empty `lists` yields an empty result; callers wanting "empty input
-/// = universe" semantics must special-case it (as [`crate::intersect_all`]
+/// Raises a candidate start until every cursor's current run covers it
+/// (galloping each cursor over disjoint spans), emits up to the soonest
+/// end, then advances the cursors that end there.  Scans each input at
+/// most once and builds no intermediate list per fold step.  An empty
+/// `cursors` yields an empty result; callers wanting "empty input =
+/// universe" semantics must special-case it (as [`crate::intersect_all`]
 /// does by returning `None`).
-pub fn intersect_k(lists: &[&[Run]]) -> Vec<Run> {
-    let first = match lists.first() {
-        Some(f) => f,
-        None => return Vec::new(),
-    };
-    if lists.len() == 1 {
-        return first.to_vec();
+pub fn intersect_many<S>(cursors: &mut [&mut S]) -> Result<Vec<Run>, S::Error>
+where
+    S: RunSource + ?Sized,
+{
+    let slices: Option<Vec<_>> =
+        cursors.iter().map(|c| c.remaining().map(RunsCursor::new)).collect();
+    if let Some(mut slices) = slices {
+        let mut refs: Vec<_> = slices.iter_mut().collect();
+        let Ok(out) = intersect_many_scan(&mut refs);
+        return Ok(out);
     }
-    if lists.iter().any(|l| l.is_empty()) {
-        return Vec::new();
+    intersect_many_scan(cursors)
+}
+
+fn intersect_many_scan<S>(cursors: &mut [&mut S]) -> Result<Vec<Run>, S::Error>
+where
+    S: RunSource + ?Sized,
+{
+    let mut out = Vec::new();
+    if cursors.is_empty() {
+        return Ok(out);
     }
-    let mut cursors = vec![0usize; lists.len()];
-    let mut out: Vec<Run> = Vec::new();
     // Candidate start of the next common span; only ever grows.
     let mut start = 0u64;
-    'outer: loop {
-        // Raise the candidate until every list's current run covers it.
+    'merge: loop {
+        // Raise the candidate until every cursor's current run covers it.
         let mut changed = true;
         while changed {
             changed = false;
-            for (i, list) in lists.iter().enumerate() {
-                let c = gallop_to(list, cursors[i], start);
-                if c == list.len() {
-                    break 'outer;
+            for c in cursors.iter_mut() {
+                if c.peek().is_some_and(|r| r.end < start) {
+                    c.seek(start)?;
                 }
-                cursors[i] = c;
-                if list[c].start > start {
-                    start = list[c].start;
+                let Some(r) = c.peek() else { break 'merge };
+                if r.start > start {
+                    start = r.start;
                     changed = true;
                 }
             }
         }
         // Every current run covers `start`; emit up to the soonest end.
         let mut end = u64::MAX;
-        for (list, &c) in lists.iter().zip(&cursors) {
-            end = end.min(list[c].end);
+        for c in cursors.iter() {
+            if let Some(r) = c.peek() {
+                end = end.min(r.end);
+            }
         }
-        out.push(Run::new(start, end));
-        // At least one list's run finished at `end` and its successor
-        // starts at `end + 2` or later (canonical input), so the next
-        // emitted run cannot be adjacent — the output stays canonical.
+        push(&mut out, start, end);
         start = match end.checked_add(1) {
             Some(s) => s,
-            None => break 'outer,
+            None => break,
         };
-        for (i, list) in lists.iter().enumerate() {
-            if list[cursors[i]].end == end {
-                cursors[i] += 1;
-                if cursors[i] == list.len() {
-                    break 'outer;
-                }
+        for c in cursors.iter_mut() {
+            if c.peek().is_some_and(|r| r.end == end) {
+                c.advance()?;
             }
         }
     }
-    out
+    Ok(out)
 }
 
 /// Largest `t` (a multiple of `dims`) such that the id block
@@ -347,62 +495,46 @@ pub fn box_runs3(curve: &Curve, min: [u32; 3], max: [u32; 3]) -> Vec<Run> {
 }
 
 #[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::reference::{self, from_set, to_set};
     use proptest::prelude::*;
     use qbism_sfc::CurveKind;
     use std::collections::BTreeSet;
 
-    /// Seed-era reference implementations, kept verbatim-in-spirit as the
-    /// debug oracle the kernels are measured and property-tested against.
-    mod reference {
-        use super::*;
+    /// The seed `to_curve` path: one curve conversion per voxel into a
+    /// materialized id set.
+    fn transcode_reference(runs: &[Run], src: &Curve, dst: &Curve) -> Vec<Run> {
+        let mut coords = vec![0u32; src.dims() as usize];
+        let set: BTreeSet<u64> = to_set(runs)
+            .into_iter()
+            .map(|id| {
+                src.coords_of(id, &mut coords);
+                dst.index_of(&coords)
+            })
+            .collect();
+        from_set(&set)
+    }
 
-        pub fn to_set(runs: &[Run]) -> BTreeSet<u64> {
-            runs.iter().flat_map(|r| r.start..=r.end).collect()
-        }
-
-        pub fn from_set(set: &BTreeSet<u64>) -> Vec<Run> {
-            let mut out: Vec<Run> = Vec::new();
-            for &id in set {
-                match out.last_mut() {
-                    Some(last) if id == last.end + 1 => last.end = id,
-                    _ => out.push(Run::new(id, id)),
+    /// The seed `from_box` path: every voxel visited individually.
+    fn box_reference(curve: &Curve, min: [u32; 3], max: [u32; 3]) -> Vec<Run> {
+        let mut set = BTreeSet::new();
+        for x in min[0]..=max[0] {
+            for y in min[1]..=max[1] {
+                for z in min[2]..=max[2] {
+                    set.insert(curve.index_of(&[x, y, z]));
                 }
             }
-            out
         }
-
-        /// The seed `to_curve` path: one curve conversion per voxel into
-        /// a materialized id vector.
-        pub fn transcode(runs: &[Run], src: &Curve, dst: &Curve) -> Vec<Run> {
-            let mut coords = vec![0u32; src.dims() as usize];
-            let set: BTreeSet<u64> = to_set(runs)
-                .into_iter()
-                .map(|id| {
-                    src.coords_of(id, &mut coords);
-                    dst.index_of(&coords)
-                })
-                .collect();
-            from_set(&set)
-        }
-
-        /// The seed `from_box` path: every voxel visited individually.
-        pub fn box_runs(curve: &Curve, min: [u32; 3], max: [u32; 3]) -> Vec<Run> {
-            let mut set = BTreeSet::new();
-            for x in min[0]..=max[0] {
-                for y in min[1]..=max[1] {
-                    for z in min[2]..=max[2] {
-                        set.insert(curve.index_of(&[x, y, z]));
-                    }
-                }
-            }
-            from_set(&set)
-        }
+        from_set(&set)
     }
 
     fn runs_of(ids: &[u64]) -> Vec<Run> {
-        reference::from_set(&ids.iter().copied().collect())
+        from_set(&ids.iter().copied().collect())
     }
 
     fn assert_canonical(runs: &[Run]) {
@@ -411,18 +543,41 @@ mod tests {
         }
     }
 
+    fn and(a: &[Run], b: &[Run]) -> Vec<Run> {
+        let Ok(out) = intersect(&mut RunsCursor::new(a), &mut RunsCursor::new(b));
+        out
+    }
+
+    fn or(a: &[Run], b: &[Run]) -> Vec<Run> {
+        let Ok(out) = union(&mut RunsCursor::new(a), &mut RunsCursor::new(b));
+        out
+    }
+
+    fn minus(a: &[Run], b: &[Run]) -> Vec<Run> {
+        let Ok(out) = difference(&mut RunsCursor::new(a), &mut RunsCursor::new(b));
+        out
+    }
+
+    fn many(lists: &[&[Run]]) -> Vec<Run> {
+        let mut cursors: Vec<RunsCursor<&[Run]>> =
+            lists.iter().map(|l| RunsCursor::new(*l)).collect();
+        let mut refs: Vec<&mut RunsCursor<&[Run]>> = cursors.iter_mut().collect();
+        let Ok(out) = intersect_many(&mut refs);
+        out
+    }
+
     #[test]
     fn empty_edge_cases() {
         let some = runs_of(&[1, 2, 3]);
-        assert_eq!(intersect_runs(&[], &some), vec![]);
-        assert_eq!(intersect_runs(&some, &[]), vec![]);
-        assert_eq!(union_runs(&[], &some), some);
-        assert_eq!(union_runs(&some, &[]), some);
-        assert_eq!(difference_runs(&[], &some), vec![]);
-        assert_eq!(difference_runs(&some, &[]), some);
-        assert_eq!(count_intersect_runs(&some, &[]), 0);
-        assert_eq!(intersect_k(&[]), vec![]);
-        assert_eq!(intersect_k(&[&some, &[]]), vec![]);
+        assert_eq!(and(&[], &some), vec![]);
+        assert_eq!(and(&some, &[]), vec![]);
+        assert_eq!(or(&[], &some), some);
+        assert_eq!(or(&some, &[]), some);
+        assert_eq!(minus(&[], &some), vec![]);
+        assert_eq!(minus(&some, &[]), some);
+        assert_eq!(many(&[]), vec![]);
+        assert_eq!(many(&[&some, &[]]), vec![]);
+        assert_eq!(many(&[&some]), some);
     }
 
     #[test]
@@ -430,11 +585,11 @@ mod tests {
         // <0,4> U <5,9> must fuse into the maximal run <0,9>.
         let a = vec![Run::new(0, 4)];
         let b = vec![Run::new(5, 9)];
-        assert_eq!(union_runs(&a, &b), vec![Run::new(0, 9)]);
-        assert_eq!(union_runs(&b, &a), vec![Run::new(0, 9)]);
+        assert_eq!(or(&a, &b), vec![Run::new(0, 9)]);
+        assert_eq!(or(&b, &a), vec![Run::new(0, 9)]);
         // ...while intersection and difference see them as disjoint.
-        assert_eq!(intersect_runs(&a, &b), vec![]);
-        assert_eq!(difference_runs(&a, &b), a);
+        assert_eq!(and(&a, &b), vec![]);
+        assert_eq!(minus(&a, &b), a);
     }
 
     #[test]
@@ -442,15 +597,11 @@ mod tests {
         // b strictly inside a run of a: difference splits it.
         let a = vec![Run::new(0, 99)];
         let b = runs_of(&[10, 11, 50]);
-        assert_eq!(
-            difference_runs(&a, &b),
-            vec![Run::new(0, 9), Run::new(12, 49), Run::new(51, 99)]
-        );
-        assert_eq!(intersect_runs(&a, &b), b);
-        assert_eq!(count_intersect_runs(&a, &b), 3);
+        assert_eq!(minus(&a, &b), vec![Run::new(0, 9), Run::new(12, 49), Run::new(51, 99)]);
+        assert_eq!(and(&a, &b), b);
         // a == b: difference empties, intersection is identity.
-        assert_eq!(difference_runs(&b, &b), vec![]);
-        assert_eq!(intersect_runs(&b, &b), b);
+        assert_eq!(minus(&b, &b), vec![]);
+        assert_eq!(and(&b, &b), b);
     }
 
     #[test]
@@ -463,6 +614,22 @@ mod tests {
         assert_eq!(gallop_to(&list, 40, 503), 50);
         assert_eq!(gallop_to(&list, 0, 10_000), list.len());
         assert_eq!(gallop_to(&list, 99, 993), 99);
+        assert_eq!(gallop_to(&list, list.len(), 5), list.len());
+    }
+
+    #[test]
+    fn slice_cursor_seek_gallops_forward_only() {
+        let list: Vec<Run> = (0..100).map(|i| Run::new(i * 10, i * 10 + 3)).collect();
+        let mut c = RunsCursor::new(&list[..]);
+        let Ok(()) = c.seek(503);
+        assert_eq!(c.peek(), Some(Run::new(500, 503)));
+        // Seeking behind the current run is a no-op.
+        let Ok(()) = c.seek(7);
+        assert_eq!(c.peek(), Some(Run::new(500, 503)));
+        let Ok(()) = c.seek(10_000);
+        assert_eq!(c.peek(), None);
+        let Ok(()) = c.advance();
+        assert_eq!(c.peek(), None);
     }
 
     #[test]
@@ -472,7 +639,7 @@ mod tests {
         // result is what we can assert).
         let sparse = vec![Run::new(100_000, 100_001)];
         let dense: Vec<Run> = (0..=1000).map(|i| Run::new(i * 100, i * 100 + 50)).collect();
-        assert_eq!(intersect_k(&[&sparse, &dense]), vec![Run::new(100_000, 100_001)]);
+        assert_eq!(many(&[&sparse, &dense]), vec![Run::new(100_000, 100_001)]);
     }
 
     proptest! {
@@ -481,17 +648,14 @@ mod tests {
             a_ids in proptest::collection::vec(0u64..2000, 0..300),
             b_ids in proptest::collection::vec(0u64..2000, 0..300),
         ) {
-            let a: BTreeSet<u64> = a_ids.into_iter().collect();
-            let b: BTreeSet<u64> = b_ids.into_iter().collect();
-            let (ra, rb) = (reference::from_set(&a), reference::from_set(&b));
-            let and: BTreeSet<u64> = a.intersection(&b).copied().collect();
-            let or: BTreeSet<u64> = a.union(&b).copied().collect();
-            let sub: BTreeSet<u64> = a.difference(&b).copied().collect();
-            prop_assert_eq!(&intersect_runs(&ra, &rb), &reference::from_set(&and));
-            prop_assert_eq!(&union_runs(&ra, &rb), &reference::from_set(&or));
-            prop_assert_eq!(&difference_runs(&ra, &rb), &reference::from_set(&sub));
-            prop_assert_eq!(count_intersect_runs(&ra, &rb), and.len() as u64);
-            for r in [intersect_runs(&ra, &rb), union_runs(&ra, &rb), difference_runs(&ra, &rb)] {
+            let (ra, rb) = (runs_of(&a_ids), runs_of(&b_ids));
+            let and = and(&ra, &rb);
+            let or = or(&ra, &rb);
+            let sub = minus(&ra, &rb);
+            prop_assert_eq!(&and, &reference::intersect(&ra, &rb));
+            prop_assert_eq!(&or, &reference::union(&ra, &rb));
+            prop_assert_eq!(&sub, &reference::difference(&ra, &rb));
+            for r in [and, or, sub] {
                 assert_canonical(&r);
             }
         }
@@ -501,17 +665,11 @@ mod tests {
             id_sets in proptest::collection::vec(
                 proptest::collection::vec(0u64..1000, 0..200), 1..6),
         ) {
-            let sets: Vec<BTreeSet<u64>> =
-                id_sets.into_iter().map(|ids| ids.into_iter().collect()).collect();
-            let lists: Vec<Vec<Run>> = sets.iter().map(reference::from_set).collect();
+            let lists: Vec<Vec<Run>> = id_sets.iter().map(|ids| runs_of(ids)).collect();
             let refs: Vec<&[Run]> = lists.iter().map(Vec::as_slice).collect();
-            let mut expect = sets[0].clone();
-            for s in &sets[1..] {
-                expect = expect.intersection(s).copied().collect();
-            }
-            let got = intersect_k(&refs);
+            let got = many(&refs);
             assert_canonical(&got);
-            prop_assert_eq!(got, reference::from_set(&expect));
+            prop_assert_eq!(got, reference::intersect_many(&refs));
         }
 
         #[test]
@@ -522,11 +680,10 @@ mod tests {
         ) {
             let src = CurveKind::ALL[src_pick].curve(3, 4);
             let dst = CurveKind::ALL[dst_pick].curve(3, 4);
-            let ids: BTreeSet<u64> = ids.into_iter().collect();
-            let runs = reference::from_set(&ids);
+            let runs = runs_of(&ids);
             let got = transcode_runs(&runs, &src, &dst);
             assert_canonical(&got);
-            prop_assert_eq!(got, reference::transcode(&runs, &src, &dst));
+            prop_assert_eq!(got, transcode_reference(&runs, &src, &dst));
         }
 
         #[test]
@@ -544,7 +701,7 @@ mod tests {
             }
             let got = box_runs3(&curve, min, max);
             assert_canonical(&got);
-            prop_assert_eq!(got, reference::box_runs(&curve, min, max));
+            prop_assert_eq!(got, box_reference(&curve, min, max));
         }
     }
 }

@@ -15,6 +15,11 @@
 //! * **Elias-γ-compressed deltas on disk** — ~8x smaller than the naive
 //!   8-bytes-per-run encoding and within ~1.17x of the entropy bound.
 //!
+//! Every set operation is one merge in [`kernel`], generic over a run
+//! cursor: a decoded run slice and a queryable compressed payload
+//! ([`compressed`]) run through the same code, so there is one REGION
+//! algebra whatever the storage codec.
+//!
 //! The octant and oblong-octant encodings, the Z-order variants, the
 //! "naive" byte format, and the approximation schemes are all implemented
 //! too, because the paper's evaluation (Tables 1, 2, 4 and Figure 4) is a
@@ -54,7 +59,9 @@ mod run;
 mod stats;
 
 pub use approx::ApproxParams;
-pub use compressed::{compressed_cursor, encode_compressed, CompressedCursor};
+pub use compressed::{
+    compressed_cursor, encode_compressed, region_cursor, CompressedCursor, RegionCursor,
+};
 pub use encode::{RegionCodec, RegionEncodeError};
 pub use geometry::GridGeometry;
 pub use nway::intersect_all;

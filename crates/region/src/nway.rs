@@ -7,7 +7,7 @@
 //! simultaneous merge below scans each input exactly once, the run
 //! analogue of the multi-way spatial join.
 
-use crate::kernel;
+use crate::kernel::{self, RunsCursor};
 use crate::region::Region;
 use crate::run::Run;
 
@@ -16,7 +16,7 @@ use crate::run::Run;
 /// Returns `None` for an empty input (there is no universe to default
 /// to).  All regions must share a [`crate::GridGeometry`].
 ///
-/// The heavy lifting is [`kernel::intersect_k`]: a k-way merge that
+/// The heavy lifting is [`kernel::intersect_many`]: a k-way merge that
 /// gallops over disjoint spans and emits the canonical result directly —
 /// no intermediate region per fold step, no id vectors.
 ///
@@ -30,8 +30,11 @@ pub fn intersect_all(regions: &[&Region]) -> Option<Region> {
     if regions.len() == 1 {
         return Some((*first).clone());
     }
-    let lists: Vec<&[Run]> = regions.iter().map(|r| r.runs()).collect();
-    Some(Region::from_runs(first.geometry(), kernel::intersect_k(&lists)))
+    let mut cursors: Vec<RunsCursor<&[Run]>> =
+        regions.iter().map(|r| RunsCursor::new(r.runs())).collect();
+    let mut refs: Vec<&mut RunsCursor<&[Run]>> = cursors.iter_mut().collect();
+    let Ok(runs) = kernel::intersect_many(&mut refs);
+    Some(Region::from_runs(first.geometry(), runs))
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The [`Region`] type and its set algebra.
 
 use crate::geometry::GridGeometry;
-use crate::kernel;
+use crate::kernel::{self, RunsCursor};
 use crate::run::{normalize, runs_from_ids, Run};
 use qbism_geometry::{IBox3, IVec3, Solid};
 use qbism_sfc::SpaceFillingCurve;
@@ -140,6 +140,11 @@ impl Region {
         &self.runs
     }
 
+    /// Consumes the region, keeping its canonical run list.
+    pub(crate) fn into_runs(self) -> Vec<Run> {
+        self.runs
+    }
+
     /// Number of runs — the quantity Section 4.2 compares across curves.
     pub fn run_count(&self) -> usize {
         self.runs.len()
@@ -217,8 +222,8 @@ impl Region {
 
     /// Number of region voxels inside an inclusive box (3-D only).
     ///
-    /// Counts overlap in place over the box's run decomposition — no
-    /// intersected `Region` (nor any id vector) is ever allocated.
+    /// Intersects with the box's run decomposition — no id vector is
+    /// ever allocated.
     pub fn voxel_count_in_box(&self, min: [u32; 3], max: [u32; 3]) -> u64 {
         let side = self.geom.side();
         if self.geom.dims() != 3
@@ -228,7 +233,9 @@ impl Region {
             return 0;
         }
         let box_runs = kernel::box_runs3(&self.geom.curve(), min, max);
-        kernel::count_intersect_runs(&self.runs, &box_runs)
+        let Ok(overlap) =
+            kernel::intersect(&mut self.cursor(), &mut RunsCursor::new(&box_runs[..]));
+        overlap.iter().map(Run::len).sum()
     }
 
     // ------------------------------------------------------------------
@@ -243,24 +250,32 @@ impl Region {
         );
     }
 
+    /// The run list as a merge cursor for the [`kernel`] set algebra.
+    fn cursor(&self) -> RunsCursor<&[Run]> {
+        RunsCursor::new(&self.runs)
+    }
+
     /// Spatial intersection — the paper's `INTERSECTION(r1, r2)` operator.
     pub fn intersect(&self, other: &Region) -> Region {
         self.assert_compatible(other, "intersection");
         // Merge-scan output of canonical inputs is already canonical.
-        Region { geom: self.geom, runs: kernel::intersect_runs(&self.runs, &other.runs) }
+        let Ok(runs) = kernel::intersect(&mut self.cursor(), &mut other.cursor());
+        Region { geom: self.geom, runs }
     }
 
     /// Spatial union — the paper's future-work `UNION(r1, r2)` operator.
     pub fn union(&self, other: &Region) -> Region {
         self.assert_compatible(other, "union");
-        Region { geom: self.geom, runs: kernel::union_runs(&self.runs, &other.runs) }
+        let Ok(runs) = kernel::union(&mut self.cursor(), &mut other.cursor());
+        Region { geom: self.geom, runs }
     }
 
     /// Spatial difference `self \ other` — the paper's future-work
     /// `DIFFERENCE(r1, r2)` operator.
     pub fn difference(&self, other: &Region) -> Region {
         self.assert_compatible(other, "difference");
-        Region { geom: self.geom, runs: kernel::difference_runs(&self.runs, &other.runs) }
+        let Ok(runs) = kernel::difference(&mut self.cursor(), &mut other.cursor());
+        Region { geom: self.geom, runs }
     }
 
     /// Complement within the grid.
@@ -269,21 +284,12 @@ impl Region {
     }
 
     /// Spatial containment — the paper's `CONTAINS(r1, r2)` operator:
-    /// whether `self` is a spatial superset of `other`.
+    /// whether `self` is a spatial superset of `other`, i.e. whether
+    /// `other \ self` is empty.
     pub fn contains_region(&self, other: &Region) -> bool {
         self.assert_compatible(other, "containment");
-        let mut i = 0usize;
-        for &b in &other.runs {
-            // Find the run of self that could cover b.start.
-            while i < self.runs.len() && self.runs[i].end < b.start {
-                i += 1;
-            }
-            match self.runs.get(i) {
-                Some(a) if a.start <= b.start && b.end <= a.end => {}
-                _ => return false,
-            }
-        }
-        true
+        let Ok(outside) = kernel::difference(&mut other.cursor(), &mut self.cursor());
+        outside.is_empty()
     }
 
     // ------------------------------------------------------------------

@@ -49,7 +49,8 @@ impl Run {
 /// Normalizes an arbitrary list of runs into the canonical form: sorted,
 /// disjoint, maximal (adjacent or overlapping runs merged).
 pub(crate) fn normalize(mut runs: Vec<Run>) -> Vec<Run> {
-    if runs.is_empty() {
+    // Merge kernels already emit canonical lists: keep them as they are.
+    if runs.windows(2).all(|w| w[0].end.saturating_add(1) < w[1].start) {
         return runs;
     }
     runs.sort_unstable_by_key(|r| r.start);

@@ -1,21 +1,21 @@
 //! Compressed-domain kernel equivalence suite.
 //!
-//! Pins the tentpole property of compressed-domain execution: every
-//! streaming merge over *compressed* operands
-//! ([`qbism_region::kernel_compressed`]) produces exactly the run list
-//! the uncompressed kernel ([`qbism_region::kernel`]) produces on the
-//! decoded operands — for both queryable codecs (run-vskip and
-//! k³-tree), in every pairing, at the paper's 64³ and 128³ grid scales.
-//! Round-trip identity of the codecs themselves is pinned alongside.
+//! Pins the property the one cursor algebra promises: every merge over
+//! *compressed* operands produces exactly the run list an independent
+//! `BTreeSet` oracle produces on the decoded operands — for both
+//! queryable codecs (run-vskip and k³-tree), in every pairing, and for a
+//! decoded Figure-4 operand (naive or Elias) merged with a queryable
+//! one, at the paper's 64³ and 128³ grid scales.  Round-trip identity of
+//! the codecs themselves is pinned alongside.
 
 use proptest::prelude::*;
-use qbism_region::kernel_compressed::{
-    difference_stream, intersect_k_stream, intersect_stream, restrict_box_stream,
-    restrict_range_stream, union_stream,
-};
-use qbism_region::{compressed_cursor, encode_compressed, kernel, CompressedCursor};
+use qbism_region::kernel::difference;
+use qbism_region::kernel_compressed::{intersect_k_stream, intersect_stream, union_stream};
+use qbism_region::{compressed_cursor, encode_compressed, region_cursor, CompressedCursor};
 use qbism_region::{GridGeometry, Region, RegionCodec, Run};
 use qbism_sfc::CurveKind;
+
+mod reference;
 
 fn geom(bits: u32) -> GridGeometry {
     GridGeometry::new(CurveKind::Hilbert, 3, bits)
@@ -59,6 +59,23 @@ fn open(bytes: &[u8]) -> CompressedCursor<'_> {
     compressed_cursor(bytes).expect("open compressed cursor").1
 }
 
+/// Encodes with a Figure-4 codec (0 = naive, 1 = Elias) or a queryable
+/// one (0 = run-vskip, 1 = k³-tree).
+fn encode_mixed(region: &Region, figure4: bool, which: u8) -> Vec<u8> {
+    let codec = match (figure4, which) {
+        (true, 0) => RegionCodec::Naive,
+        (true, _) => RegionCodec::Elias,
+        (false, 0) => RegionCodec::RunVskip,
+        (false, _) => RegionCodec::K3Tree,
+    };
+    codec.encode(region).expect("encode")
+}
+
+/// Opens any codec: queryable payloads in place, Figure-4 decoded.
+fn open_any(bytes: &[u8]) -> CompressedCursor<'_> {
+    region_cursor(bytes).expect("open region cursor").1
+}
+
 proptest! {
     /// Both queryable codecs round-trip every region exactly, at both
     /// paper grid scales.
@@ -78,10 +95,10 @@ proptest! {
         prop_assert_eq!(&RegionCodec::decode(&auto).expect("auto decode"), &region);
     }
 
-    /// Pairwise streaming merges equal the uncompressed kernel oracle
-    /// for every codec pairing (run-vskip × k³-tree × auto).
+    /// Pairwise streaming merges equal the set oracle for every codec
+    /// pairing (run-vskip × k³-tree × auto).
     #[test]
-    fn pair_merges_match_uncompressed_kernel(
+    fn pair_merges_match_set_oracle(
         bits_pick in 0u32..2,
         a_ids in proptest::collection::vec(0u64..(1 << 21), 0..250),
         b_ids in proptest::collection::vec(0u64..(1 << 21), 0..250),
@@ -97,19 +114,50 @@ proptest! {
         let b_bytes = encode_as(&b, b_codec);
 
         let got = intersect_stream(&mut open(&a_bytes), &mut open(&b_bytes)).expect("intersect");
-        prop_assert_eq!(got, kernel::intersect_runs(a.runs(), b.runs()));
+        prop_assert_eq!(got, reference::intersect(a.runs(), b.runs()));
 
         let got = union_stream(&mut open(&a_bytes), &mut open(&b_bytes)).expect("union");
-        prop_assert_eq!(got, kernel::union_runs(a.runs(), b.runs()));
+        prop_assert_eq!(got, reference::union(a.runs(), b.runs()));
 
-        let got = difference_stream(&mut open(&a_bytes), &mut open(&b_bytes)).expect("difference");
-        prop_assert_eq!(got, kernel::difference_runs(a.runs(), b.runs()));
+        let got = difference(&mut open(&a_bytes), &mut open(&b_bytes)).expect("difference");
+        prop_assert_eq!(got, reference::difference(a.runs(), b.runs()));
+    }
+
+    /// A decoded Figure-4 operand (naive or Elias) merges with a
+    /// queryable one (run-vskip or k³-tree) in either order, through the
+    /// same kernels, and equals the set oracle.
+    #[test]
+    fn decoded_and_queryable_pair_merges_match_set_oracle(
+        bits_pick in 0u32..2,
+        a_ids in proptest::collection::vec(0u64..(1 << 21), 0..250),
+        b_ids in proptest::collection::vec(0u64..(1 << 21), 0..250),
+        a_bx in (0u8..2, proptest::array::uniform3(0u32..128), proptest::array::uniform3(0u32..64)),
+        b_bx in (0u8..2, proptest::array::uniform3(0u32..128), proptest::array::uniform3(0u32..64)),
+        decoded_first in any::<bool>(),
+        figure4 in 0u8..2,
+        queryable in 0u8..2,
+    ) {
+        let bits = 6 + bits_pick;
+        let a = make_region(bits, &a_ids, a_bx);
+        let b = make_region(bits, &b_ids, b_bx);
+        let a_bytes = encode_mixed(&a, decoded_first, if decoded_first { figure4 } else { queryable });
+        let b_bytes = encode_mixed(&b, !decoded_first, if decoded_first { queryable } else { figure4 });
+
+        let got =
+            intersect_stream(&mut open_any(&a_bytes), &mut open_any(&b_bytes)).expect("intersect");
+        prop_assert_eq!(got, reference::intersect(a.runs(), b.runs()));
+
+        let got = union_stream(&mut open_any(&a_bytes), &mut open_any(&b_bytes)).expect("union");
+        prop_assert_eq!(got, reference::union(a.runs(), b.runs()));
+
+        let got = difference(&mut open_any(&a_bytes), &mut open_any(&b_bytes)).expect("difference");
+        prop_assert_eq!(got, reference::difference(a.runs(), b.runs()));
     }
 
     /// The k-way compressed intersect (the multi-study fold) equals the
-    /// uncompressed k-way kernel.
+    /// set oracle.
     #[test]
-    fn kway_matches_uncompressed_kernel(
+    fn kway_matches_set_oracle(
         bits_pick in 0u32..2,
         id_sets in proptest::collection::vec(
             proptest::collection::vec(0u64..(1 << 21), 0..200), 1..5),
@@ -124,60 +172,39 @@ proptest! {
             cursors.iter_mut().map(|c| c as &mut dyn qbism_coding::RunCursor).collect();
         let got = intersect_k_stream(&mut refs).expect("k-way");
         let lists: Vec<&[Run]> = regions.iter().map(|r| r.runs()).collect();
-        prop_assert_eq!(got, kernel::intersect_k(&lists));
+        prop_assert_eq!(got, reference::intersect_many(&lists));
     }
 
-    /// Box restriction over a compressed stream equals intersecting the
-    /// decoded region with the box mask.
+    /// The k-way intersect over a mix of decoded Figure-4 and queryable
+    /// operands (each operand's codec drawn independently) equals the
+    /// set oracle.
     #[test]
-    fn box_restriction_matches_uncompressed_kernel(
+    fn kway_over_decoded_and_queryable_matches_set_oracle(
         bits_pick in 0u32..2,
-        ids in proptest::collection::vec(0u64..(1 << 21), 0..250),
-        bx in (0u8..2, proptest::array::uniform3(0u32..128), proptest::array::uniform3(0u32..64)),
-        min_raw in proptest::array::uniform3(0u32..128),
-        size in proptest::array::uniform3(0u32..32),
-        codec in 0u8..3,
+        id_sets in proptest::collection::vec(
+            proptest::collection::vec(0u64..(1 << 21), 0..200), 2..5),
+        codecs in proptest::collection::vec(0u8..4, 5..6),
     ) {
         let bits = 6 + bits_pick;
-        let region = make_region(bits, &ids, bx);
-        let side = 1u32 << bits;
-        let min = [min_raw[0] % side, min_raw[1] % side, min_raw[2] % side];
-        let max = [
-            (min[0] + size[0]).min(side - 1),
-            (min[1] + size[1]).min(side - 1),
-            (min[2] + size[2]).min(side - 1),
-        ];
-        let bytes = encode_as(&region, codec);
-        let curve = geom(bits).curve();
-        let got =
-            restrict_box_stream(&mut open(&bytes), &curve, min, max).expect("box restrict");
-        let mask = kernel::box_runs3(&curve, min, max);
-        prop_assert_eq!(got, kernel::intersect_runs(region.runs(), &mask));
-    }
-
-    /// Band (contiguous id range) restriction equals clipping the
-    /// decoded run list.
-    #[test]
-    fn range_restriction_matches_decoded_clip(
-        bits_pick in 0u32..2,
-        ids in proptest::collection::vec(0u64..(1 << 21), 0..250),
-        bx in (0u8..2, proptest::array::uniform3(0u32..128), proptest::array::uniform3(0u32..64)),
-        bounds in proptest::array::uniform2(0u64..(1 << 21)),
-        codec in 0u8..3,
-    ) {
-        let bits = 6 + bits_pick;
-        let region = make_region(bits, &ids, bx);
-        let cells = geom(bits).cell_count();
-        let (lo, hi) = (bounds[0] % cells, bounds[1] % cells);
-        let bytes = encode_as(&region, codec);
-        let got = restrict_range_stream(&mut open(&bytes), lo, hi).expect("range restrict");
-        let want: Vec<Run> = region
-            .runs()
+        let regions: Vec<Region> =
+            id_sets.iter().map(|ids| make_region(bits, ids, (0, [0; 3], [0; 3]))).collect();
+        // Operand 0 is always decoded and operand 1 always queryable, so
+        // every case mixes the two kinds.
+        let blobs: Vec<Vec<u8>> = regions
             .iter()
-            .filter(|r| lo <= hi && r.end >= lo && r.start <= hi)
-            .map(|r| Run::new(r.start.max(lo), r.end.min(hi)))
+            .zip(&codecs)
+            .enumerate()
+            .map(|(i, (r, &c))| match i {
+                0 => encode_mixed(r, true, c % 2),
+                1 => encode_mixed(r, false, c % 2),
+                _ => encode_mixed(r, c >= 2, c % 2),
+            })
             .collect();
-        prop_assert_eq!(got, want);
+        let mut cursors: Vec<CompressedCursor<'_>> = blobs.iter().map(|b| open_any(b)).collect();
+        let mut refs: Vec<&mut CompressedCursor<'_>> = cursors.iter_mut().collect();
+        let got = intersect_k_stream(&mut refs).expect("k-way");
+        let lists: Vec<&[Run]> = regions.iter().map(|r| r.runs()).collect();
+        prop_assert_eq!(got, reference::intersect_many(&lists));
     }
 }
 
