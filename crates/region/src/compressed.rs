@@ -9,12 +9,12 @@
 //! kind as one [`RegionCursor`], so every operator runs the same
 //! [`crate::kernel`] merge whatever the storage codec.
 //!
-//! [`encode_compressed`] is the compressed storage policy: it encodes
-//! both ways and keeps the smaller byte string, so sparse
+//! [`encode_compressed`] is the compressed storage policy: it sizes
+//! both encodings in closed form and writes the smaller one, so sparse
 //! boundary-dominated structures land in the skip-block run list and
 //! dense blobs in the k³-tree.
 
-use crate::encode::{split_header, RegionCodec, RegionEncodeError};
+use crate::encode::{run_pairs, split_header, RegionCodec, RegionEncodeError};
 use crate::geometry::GridGeometry;
 use crate::kernel::{self, RunsCursor};
 use crate::region::Region;
@@ -165,9 +165,28 @@ pub fn is_compressed(bytes: &[u8]) -> bool {
 
 /// Encodes a region in the smaller of the two queryable compressed
 /// formats — run lists win on sparse boundary-heavy structures,
-/// k³-trees on dense blobs.
+/// k³-trees on dense blobs; a tie keeps the run list.  Both sizes are
+/// closed-form, so the region is encoded once.
 pub fn encode_compressed(region: &Region) -> Result<Vec<u8>, RegionEncodeError> {
-    let vskip = RegionCodec::RunVskip.encode(region)?;
-    let k3 = RegionCodec::K3Tree.encode(region)?;
-    Ok(if vskip.len() <= k3.len() { vskip } else { k3 })
+    let geom = region.geometry();
+    let pairs = run_pairs(region);
+    let vskip = RegionCodec::RunVskip.pairs_len(geom, &pairs)?;
+    let k3 = RegionCodec::K3Tree.pairs_len(geom, &pairs)?;
+    let codec = if vskip <= k3 { RegionCodec::RunVskip } else { RegionCodec::K3Tree };
+    codec.encode_pairs(geom, &pairs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qbism_sfc::CurveKind;
+
+    #[test]
+    fn equal_sizes_keep_the_run_list() {
+        // The empty region costs 12 bytes either way.
+        let empty = Region::empty(GridGeometry::new(CurveKind::Hilbert, 3, 7));
+        let bytes = encode_compressed(&empty).unwrap();
+        assert_eq!(RegionCodec::K3Tree.encoded_len(&empty).unwrap(), bytes.len());
+        assert_eq!(split_header(&bytes).unwrap().0, RegionCodec::RunVskip);
+    }
 }

@@ -18,7 +18,7 @@ use crate::geometry::GridGeometry;
 use crate::octant::{Octant, OctantKind};
 use crate::region::Region;
 use crate::run::Run;
-use qbism_coding::{BitReader, BitWriter, CodingError, EliasGamma, IntCodec};
+use qbism_coding::{BitReader, BitWriter, CodingError, EliasGamma, IntCodec, K3Cursor};
 use qbism_sfc::CurveKind;
 
 /// Magic number prefix of every encoded REGION ("QR").
@@ -107,12 +107,7 @@ impl RegionCodec {
     pub fn encode(&self, region: &Region) -> Result<Vec<u8>, RegionEncodeError> {
         let geom = region.geometry();
         check_width(*self, geom)?;
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.push(self.tag());
-        out.push(kind_tag(geom.kind()));
-        out.push(geom.dims() as u8);
-        out.push(geom.bits() as u8);
+        let mut out = self.start_bytes(geom, 0);
         match self {
             RegionCodec::Naive => {
                 let runs = region.runs();
@@ -146,21 +141,62 @@ impl RegionCodec {
                     out.extend_from_slice(&packed.to_le_bytes());
                 }
             }
-            RegionCodec::RunVskip => {
-                let runs = region.runs();
-                out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
-                let pairs: Vec<(u64, u64)> = runs.iter().map(|r| (r.start, r.end)).collect();
-                out.extend_from_slice(&qbism_coding::runcode::encode_runs(&pairs)?);
-            }
-            RegionCodec::K3Tree => {
-                let runs = region.runs();
-                out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
-                let pairs: Vec<(u64, u64)> = runs.iter().map(|r| (r.start, r.end)).collect();
-                let id_bits = geom.dims() * geom.bits();
-                out.extend_from_slice(&qbism_coding::k3tree::encode_runs(&pairs, id_bits)?);
+            RegionCodec::RunVskip | RegionCodec::K3Tree => {
+                return self.encode_pairs(geom, &run_pairs(region));
             }
         }
         Ok(out)
+    }
+
+    /// A byte string holding the magic, codec and geometry header
+    /// fields, with room for `capacity` bytes.
+    fn start_bytes(&self, geom: GridGeometry, capacity: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(capacity);
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.push(self.tag());
+        out.push(kind_tag(geom.kind()));
+        out.push(geom.dims() as u8);
+        out.push(geom.bits() as u8);
+        out
+    }
+
+    /// Encodes a queryable codec's byte string from the region's runs
+    /// as `(start, end)` pairs; the Figure-4 codecs are refused.
+    pub(crate) fn encode_pairs(
+        &self,
+        geom: GridGeometry,
+        pairs: &[(u64, u64)],
+    ) -> Result<Vec<u8>, RegionEncodeError> {
+        check_width(*self, geom)?;
+        let payload = match self {
+            RegionCodec::K3Tree => {
+                qbism_coding::k3tree::encode_runs(pairs, geom.dims() * geom.bits())?
+            }
+            RegionCodec::RunVskip => qbism_coding::runcode::encode_runs(pairs)?,
+            _ => return Err(RegionEncodeError::BadTag(self.tag())),
+        };
+        let mut out = self.start_bytes(geom, 10 + payload.len());
+        out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+        out.extend_from_slice(&payload);
+        Ok(out)
+    }
+
+    /// Size of [`RegionCodec::encode_pairs`]' byte string, computed in
+    /// closed form without encoding.
+    pub(crate) fn pairs_len(
+        &self,
+        geom: GridGeometry,
+        pairs: &[(u64, u64)],
+    ) -> Result<usize, RegionEncodeError> {
+        check_width(*self, geom)?;
+        let payload = match self {
+            RegionCodec::K3Tree => {
+                qbism_coding::k3tree::encoded_len(pairs, geom.dims() * geom.bits())?
+            }
+            RegionCodec::RunVskip => qbism_coding::runcode::encoded_len(pairs),
+            _ => return Err(RegionEncodeError::BadTag(self.tag())),
+        };
+        Ok(10 + payload)
     }
 
     /// Size in bytes the encoding would occupy, without materializing it.
@@ -183,14 +219,9 @@ impl RegionCodec {
                 header + (bits as usize).div_ceil(8)
             }
             RegionCodec::Octant(kind) => header + region.octant_count(*kind) * 4,
-            RegionCodec::RunVskip => {
-                let pairs: Vec<(u64, u64)> =
-                    region.runs().iter().map(|r| (r.start, r.end)).collect();
-                header + qbism_coding::runcode::encoded_len(&pairs)
+            RegionCodec::RunVskip | RegionCodec::K3Tree => {
+                self.pairs_len(region.geometry(), &run_pairs(region))?
             }
-            // The k³-tree's size depends on subtree shape; measure by
-            // encoding (compressed payloads are small by construction).
-            RegionCodec::K3Tree => self.encode(region)?.len(),
         })
     }
 
@@ -279,7 +310,18 @@ impl RegionCodec {
                 let runs: Vec<Run> = octs.iter().map(Octant::as_run).collect();
                 build_checked(geom, runs)
             }
-            RegionCodec::RunVskip | RegionCodec::K3Tree => {
+            RegionCodec::K3Tree => {
+                // Drain the tree straight into runs, sizing the vector
+                // by what the payload can hold, not the untrusted count.
+                let cursor = K3Cursor::new(body)?;
+                let mut runs = Vec::with_capacity(count.min(cursor.max_runs()));
+                cursor.for_each_run(|start, end| runs.push(Run { start, end }))?;
+                if runs.len() != count {
+                    return Err(RegionEncodeError::Corrupt("run count mismatch"));
+                }
+                build_checked(geom, runs)
+            }
+            RegionCodec::RunVskip => {
                 // Queryable payloads: open the streaming cursor and
                 // drain it (decode() is the decode-everything path;
                 // kernels use the cursor directly).
@@ -314,6 +356,12 @@ pub(crate) fn split_header(
     let geom = GridGeometry::new(kind, dims, bits);
     let count = u32::from_le_bytes([header[6], header[7], header[8], header[9]]) as usize;
     Ok((codec, geom, count, &bytes[10..]))
+}
+
+/// A region's runs as the `(start, end)` pairs the queryable codecs
+/// take.
+pub(crate) fn run_pairs(region: &Region) -> Vec<(u64, u64)> {
+    region.runs().iter().map(|r| (r.start, r.end)).collect()
 }
 
 fn build_checked(geom: GridGeometry, runs: Vec<Run>) -> Result<Region, RegionEncodeError> {
@@ -505,6 +553,20 @@ mod tests {
             let cut = &bytes[..bytes.len() - 3];
             assert!(RegionCodec::decode(cut).is_err(), "{}", codec.name());
         }
+    }
+
+    #[test]
+    fn untrusted_counts_do_not_drive_allocation() {
+        // A k³-tree REGION whose header claims 2^32 - 1 runs: the drain
+        // sizes its vector by the payload and reports the mismatch.
+        let g = GridGeometry::new(CurveKind::Hilbert, 3, 4);
+        let r = Region::from_ids(g, vec![1, 2, 3, 100]);
+        let mut bytes = RegionCodec::K3Tree.encode(&r).unwrap();
+        bytes[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            RegionCodec::decode(&bytes),
+            Err(RegionEncodeError::Corrupt("run count mismatch"))
+        );
     }
 
     #[test]

@@ -95,6 +95,25 @@ proptest! {
         prop_assert_eq!(&RegionCodec::decode(&auto).expect("auto decode"), &region);
     }
 
+    /// The storage policy sizes both codecs in closed form: it writes
+    /// exactly the bytes that encoding both ways and keeping the
+    /// smaller (ties to run-vskip) wrote, and each codec's
+    /// `encoded_len` is its byte string's length.
+    #[test]
+    fn storage_policy_matches_the_encode_both_choice(
+        bits_pick in 0u32..2,
+        ids in proptest::collection::vec(0u64..(1 << 21), 0..250),
+        bx in (0u8..2, proptest::array::uniform3(0u32..128), proptest::array::uniform3(0u32..64)),
+    ) {
+        let region = make_region(6 + bits_pick, &ids, bx);
+        let vskip = RegionCodec::RunVskip.encode(&region).expect("encode run-vskip");
+        let k3 = RegionCodec::K3Tree.encode(&region).expect("encode k3-tree");
+        prop_assert_eq!(RegionCodec::RunVskip.encoded_len(&region).expect("size"), vskip.len());
+        prop_assert_eq!(RegionCodec::K3Tree.encoded_len(&region).expect("size"), k3.len());
+        let smaller = if vskip.len() <= k3.len() { vskip } else { k3 };
+        prop_assert_eq!(encode_compressed(&region).expect("policy"), smaller);
+    }
+
     /// Pairwise streaming merges equal the set oracle for every codec
     /// pairing (run-vskip × k³-tree × auto).
     #[test]
