@@ -152,6 +152,12 @@ fn any_single_replica_fault_mid_query_stays_exact() {
     // Sweep 3: drop the first answer leg's message on every retry —
     // the per-shard channel times out after its bounded budget and the
     // router reroutes; the timed-out leg never touches QueryCost.
+    // `Nth` counts passes over every worker sharing the plane, so with
+    // legs shipping concurrently the drops could land on several legs,
+    // each of which then succeeds on retry.  The sweep therefore runs
+    // one leg at a time, which makes the first leg's retries exactly
+    // the first `attempts` passes.
+    warehouse.set_threads(1);
     let attempts = u64::from(qbism_netsim::RetryPolicy::default().max_attempts);
     let mut drop_plane = FaultPlane::new(0xE3);
     for i in 1..=attempts {
@@ -165,6 +171,7 @@ fn any_single_replica_fault_mid_query_stays_exact() {
     assert_eq!(answer.data.values(), baseline.data.values());
     assert_eq!(det(&answer.cost), baseline_det, "leg timeout changed a deterministic column");
     assert_eq!(warehouse.recovery_stats().route_drops, 1, "exactly one leg timed out");
+    warehouse.set_threads(8);
 
     // And the band query class under a kill, for the same contract.
     let (band_base, band_cost) =
